@@ -112,7 +112,8 @@ race-runner:
 	$(GO) test -race ./internal/experiments/... ./internal/des/...
 
 # bench runs the DES kernel microbenchmarks (schedule->resume path,
-# queue/event/resource wakeups, timer heap) with allocation stats.
+# queue/event/resource wakeups, timer heap, spawn->run->exit churn through
+# the coroutine pool) with allocation stats.
 bench:
 	$(GO) test ./internal/des/ -run NONE -bench BenchmarkKernel -benchmem
 

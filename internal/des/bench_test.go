@@ -107,3 +107,21 @@ func BenchmarkKernelTimerHeap(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkKernelSpawn measures process churn: a parent spawns a child and
+// yields, and the child starts and exits at once. It covers the start
+// event, binding the child to a pooled coroutine, and returning that
+// coroutine to the pool.
+func BenchmarkKernelSpawn(b *testing.B) {
+	s := New()
+	child := func(p *Proc) {}
+	s.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			s.Spawn("child", child)
+			p.Yield()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}

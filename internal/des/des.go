@@ -1,12 +1,22 @@
+// This file imports iter, so it carries a go1.23 build constraint. The
+// constraint raises only this file's language version: the module stays at
+// go 1.22, which the benchmark module's pinned, read-only build requires.
+
+//go:build go1.23
+
 // Package des implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
 // The kernel follows the classic SimPy model: simulated activities run as
-// ordinary Go functions ("processes") on their own goroutines, but exactly
-// one process executes at a time and control is handed off explicitly through
-// unbuffered channels. Combined with a totally ordered event queue (ordered
-// by virtual time, then by scheduling sequence number) this makes every
-// simulation run bit-for-bit reproducible regardless of GOMAXPROCS.
+// ordinary Go functions ("processes"), each on its own iter.Pull coroutine.
+// Exactly one process executes at a time: the run loop resumes a process by
+// calling its coroutine's next, and the process hands control back by
+// yielding when it blocks or returns. A coroutine switch is a direct
+// goroutine handoff with no scheduler round trip. Finished coroutines are
+// pooled per Sim and rebound to the next spawned process. Combined with a
+// totally ordered event queue (ordered by virtual time, then by scheduling
+// sequence number) this makes every simulation run bit-for-bit reproducible
+// regardless of GOMAXPROCS.
 //
 // A process interacts with the kernel through its *Proc handle: it can Sleep
 // for a virtual duration, Wait on an Event, or block on higher level
@@ -16,13 +26,18 @@
 // The hot path — schedule an event, pop it, resume the target process — is
 // allocation-free in steady state: events are typed records (kind + target
 // process) rather than closures, popped records are recycled through a free
-// list, and the pending set is an inlined 4-ary heap (see heap.go).
-// Different Sim instances share no state, so independent simulations may
-// run concurrently on separate goroutines (see internal/experiments/runner).
+// list, and the pending set is an inlined 4-ary heap (see heap.go). A spawn
+// allocates only its Proc once the coroutine pool is warm.
+// Different Sim instances share no simulation state (race builds share only
+// a locked list of idle coroutines, see retireCoros), so independent
+// simulations may run concurrently on separate goroutines (see
+// internal/experiments/runner).
 package des
 
 import (
 	"fmt"
+	"iter"
+	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -54,7 +69,7 @@ type Sim struct {
 	queue    []*event // 4-ary heap, see heap.go
 	free     []*event // recycled event records
 	seq      int64
-	yield    chan struct{} // signalled when the running process parks or exits
+	coros    []*coro // finished coroutines ready for the next spawn
 	stopped  bool
 	parked   []*Proc // processes currently blocked inside the kernel
 	starting []*Proc // spawned but not yet started processes
@@ -65,7 +80,7 @@ type Sim struct {
 
 // New creates an empty simulation positioned at virtual time zero.
 func New() *Sim {
-	return &Sim{yield: make(chan struct{})}
+	return &Sim{}
 }
 
 // Now returns the current virtual time.
@@ -130,7 +145,11 @@ func (s *Sim) Stop() { s.stopped = true }
 
 // Run executes events until the queue is empty or Stop is called, and
 // returns the final virtual time. On return every process goroutine has
-// terminated.
+// terminated, except the idle ones race builds keep for reuse (see
+// retireCoros). A panic in a process body, wrapped as
+// "des: process %q panicked: ...", and a runtime.Goexit in one (such as
+// t.FailNow) leave Run through its caller after the other processes have
+// been unwound.
 func (s *Sim) Run() Time { return s.RunUntil(Time(1<<62 - 1)) }
 
 // RunUntil executes events with timestamp <= limit and returns the current
@@ -138,6 +157,7 @@ func (s *Sim) Run() Time { return s.RunUntil(Time(1<<62 - 1)) }
 // goroutines before returning, so it cannot be used to single-step a
 // simulation; it exists to bound runaway simulations.
 func (s *Sim) RunUntil(limit Time) Time {
+	defer s.unwindAll()
 	for !s.stopped && len(s.queue) > 0 {
 		e := s.queue[0]
 		if e.at > limit {
@@ -155,14 +175,13 @@ func (s *Sim) RunUntil(limit Time) Time {
 		}
 		s.resumeProc(p)
 	}
-	s.unwindAll()
 	return s.now
 }
 
 // unwindAll unblocks every process that is still parked (or never started)
-// when the run loop exits, so their goroutines terminate. Each such Proc
-// reports Abandoned. Unwinding order is deterministic: most recently parked
-// first, then most recently spawned.
+// when the run loop exits, so their coroutines terminate, then retires the
+// coroutine pool. Each unwound Proc reports Abandoned. Unwinding order is
+// deterministic: most recently parked first, then most recently spawned.
 func (s *Sim) unwindAll() {
 	for len(s.parked) > 0 || len(s.starting) > 0 {
 		var p *Proc
@@ -181,16 +200,60 @@ func (s *Sim) unwindAll() {
 			p.startEv = nil
 		}
 		p.abandoned = true
-		p.resume <- struct{}{}
-		<-s.yield
+		if p.co != nil { // a never-started process has no coroutine to unwind
+			p.co.next()
+		}
 	}
+	s.retireCoros()
+}
+
+// retireCoros empties the Sim's coroutine pool, stopping every pooled
+// coroutine. Under the race detector it hands them to raceIdle instead: the
+// Go runtime (as of go1.24) does not release a coroutine's race-detector
+// state when the coroutine exits, so stopping them would leak that state for
+// every process a simulation ever ran concurrently, and a test binary running
+// thousands of simulations would grow by gigabytes.
+func (s *Sim) retireCoros() {
+	if raceEnabled {
+		raceIdleMu.Lock()
+		raceIdle = append(raceIdle, s.coros...)
+		raceIdleMu.Unlock()
+	} else {
+		for _, c := range s.coros {
+			c.stop()
+		}
+	}
+	clear(s.coros)
+	s.coros = s.coros[:0]
+}
+
+// raceIdle holds, in race builds only, coroutines retired by finished
+// simulations for any Sim to adopt when its own pool is empty.
+var (
+	raceIdleMu sync.Mutex
+	raceIdle   []*coro
+)
+
+// adoptRaceIdle takes a coroutine from raceIdle, or returns nil.
+func adoptRaceIdle() *coro {
+	raceIdleMu.Lock()
+	defer raceIdleMu.Unlock()
+	n := len(raceIdle)
+	if n == 0 {
+		return nil
+	}
+	c := raceIdle[n-1]
+	raceIdle[n-1] = nil
+	raceIdle = raceIdle[:n-1]
+	return c
 }
 
 // Proc is the handle a simulated process uses to interact with the kernel.
 type Proc struct {
 	sim       *Sim
 	name      string
-	resume    chan struct{}
+	fn        func(p *Proc) // body, cleared once it starts
+	co        *coro         // bound coroutine, nil until started
 	abandoned bool
 	parkedIdx int    // index into sim.parked, -1 when running
 	startIdx  int    // index into sim.starting, -1 once started
@@ -209,9 +272,9 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Time { return p.sim.now }
 
 // Abandoned reports whether the simulation stopped while this process was
-// parked. It is primarily useful in deferred cleanup: the kernel unwinds
-// abandoned processes with a panic that is recovered by the spawn wrapper,
-// so ordinary code never observes it mid-function.
+// parked or before it started. It is primarily useful in deferred cleanup:
+// the kernel unwinds abandoned processes with a panic that is recovered by
+// the coroutine wrapper, so ordinary code never observes it mid-function.
 func (p *Proc) Abandoned() bool { return p.abandoned }
 
 // Logf emits a trace line through the simulation's trace sink, if installed.
@@ -222,7 +285,7 @@ func (p *Proc) Logf(format string, args ...any) {
 }
 
 // Spawn creates a new process executing fn and schedules it to start at the
-// current virtual time. fn runs on its own goroutine but under the kernel's
+// current virtual time. fn runs on its own coroutine but under the kernel's
 // one-at-a-time discipline.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return s.SpawnAt(s.now, name, fn)
@@ -231,27 +294,10 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit (future) start time.
 func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{sim: s, name: name, resume: make(chan struct{}), parkedIdx: -1, id: s.procSeq}
+	p := &Proc{sim: s, name: name, fn: fn, parkedIdx: -1, id: s.procSeq}
 	if s.tracer != nil {
 		s.tracer.Instant(int64(s.now), trace.LayerDES, trace.KindSpawn, name, "spawn", p.id, int64(at))
 	}
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(abandonedPanic); !ok {
-					// Re-panic on another goroutine would lose the scheduler
-					// handshake; report loudly instead.
-					panic(fmt.Sprintf("des: process %q panicked: %v", name, r))
-				}
-			}
-			s.yield <- struct{}{}
-		}()
-		<-p.resume
-		if p.abandoned {
-			return
-		}
-		fn(p)
-	}()
 	p.startEv = s.schedule(at, evStart, p)
 	p.startIdx = len(s.starting)
 	s.starting = append(s.starting, p)
@@ -274,11 +320,71 @@ func (s *Sim) removeStarting(p *Proc) {
 	p.startEv = nil
 }
 
-// resumeProc transfers control to p and waits for it to park or exit.
-// It must only be called from the scheduler loop (i.e. from an event fn).
+// resumeProc transfers control to p and waits for it to park or exit. A
+// process's first resume binds it to a pooled coroutine, or a new one when
+// the pool is empty. It must only be called from the scheduler loop.
 func (s *Sim) resumeProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-s.yield
+	if p.co == nil {
+		var c *coro
+		if n := len(s.coros); n > 0 {
+			c = s.coros[n-1]
+			s.coros[n-1] = nil
+			s.coros = s.coros[:n-1]
+		} else if raceEnabled {
+			c = adoptRaceIdle()
+		}
+		if c == nil {
+			c = &coro{}
+			c.next, c.stop = iter.Pull(c.loop)
+		}
+		c.proc = p
+		p.co = c
+	}
+	p.co.next()
+}
+
+// coro is a reusable process coroutine. It runs one process body at a time;
+// when a body returns, the coroutine puts itself back on its Sim's pool and
+// suspends until resumeProc binds it to the next process. A fresh iter.Pull
+// costs about a dozen allocations, so without the pool every spawn would pay
+// them.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	proc  *Proc // process being run, nil while pooled
+}
+
+// loop is the coroutine body. It returns only when stop is called on the
+// pooled coroutine; a panic or runtime.Goexit in a process body ends it
+// early and propagates out of next to the run loop's caller.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		p := c.proc
+		p.run()
+		p.co, c.proc = nil, nil
+		s := p.sim
+		s.coros = append(s.coros, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the process body, absorbing the unwind panic of an abandoned
+// process and wrapping any other panic with the process name.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(abandonedPanic); !ok {
+				panic(fmt.Sprintf("des: process %q panicked: %v", p.name, r))
+			}
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
 }
 
 // park blocks the calling process until something resumes it. The caller
@@ -291,8 +397,7 @@ func (p *Proc) park() {
 	}
 	p.parkedIdx = len(s.parked)
 	s.parked = append(s.parked, p)
-	s.yield <- struct{}{}
-	<-p.resume
+	p.co.yield(struct{}{})
 	if p.abandoned {
 		panic(abandonedPanic{})
 	}
@@ -325,7 +430,7 @@ func (s *Sim) wake(p *Proc) {
 	s.schedule(s.now, evResume, p)
 }
 
-// abandonedPanic unwinds a process goroutine whose simulation has stopped.
+// abandonedPanic unwinds a process coroutine whose simulation has stopped.
 type abandonedPanic struct{}
 
 // Sleep suspends the process for d of virtual time. Negative durations are

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/des"
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
@@ -101,4 +103,29 @@ func TestWorkersPositive(t *testing.T) {
 	if Workers() < 1 {
 		t.Fatalf("Workers() = %d", Workers())
 	}
+}
+
+// TestMapReportsProcessPanic runs a simulation whose process panics inside
+// one sweep point and asserts the panic reaches Map's caller naming both
+// the point and the process, instead of crashing the binary from a process
+// goroutine.
+func TestMapReportsProcessPanic(t *testing.T) {
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, `point 2: des: process "bad" panicked: boom`) {
+			t.Fatalf("panic %v does not report the point and the process", r)
+		}
+	}()
+	MapWorkers(4, 4, func(i int) des.Time {
+		s := des.New()
+		s.Spawn("bad", func(p *des.Proc) {
+			p.Sleep(1)
+			if i == 2 {
+				panic("boom")
+			}
+		})
+		return s.Run()
+	})
+	t.Fatal("Map returned despite a panicking point")
 }
