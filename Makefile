@@ -20,12 +20,13 @@ check: vet faults trace-check scale-check chaos-check mux-check telemetry-check 
 # forged-DONE regression tests (dedicated, sharded, and shared-QP paths),
 # the fixed-seed adversary experiments (rkey scan TTC ranking, spoof
 # quarantine scoping, DRC forgery isolation, attack-under-chaos, same-seed
-# byte-identity), and the experiment-level sweep including its
-# sequential-vs-parallel determinism check.
+# byte-identity), the experiment-level sweep including its
+# sequential-vs-parallel determinism check, and the posture tests (the
+# zero-value cluster config is the hardened one).
 adversary-check:
 	$(GO) test -race ./internal/adversary/
-	$(GO) test -race -run 'Adversary|Forged|Spoof|Quarantine|AccessEnforcement|RemapWindow|Hoard|Malicious' \
-		./internal/ibsim/ ./internal/rpcrdma/ ./internal/experiments/
+	$(GO) test -race -run 'Adversary|Forged|Spoof|Quarantine|AccessEnforcement|RemapWindow|Hoard|Malicious|Posture' \
+		./internal/ibsim/ ./internal/rpcrdma/ ./internal/core/ ./internal/experiments/
 
 # chaos-check runs the chaos engine under the race detector: the seeded
 # fault-schedule generator, the crash/restart primitive, the data-integrity

@@ -11,7 +11,7 @@
 // independent simulations fanned across the machine's cores (see
 // internal/experiments/runner) and prints one row per point; -workers pins
 // the concurrency. The per-run inspection flags (-metrics, -latency,
-// -trace, -tracelog) apply only to single runs.
+// -trace) apply only to single runs.
 //
 // With -openloop the command runs the open-loop load generator instead of
 // IOzone: -clients hosts each offer -offered/clients MB/s on a
@@ -33,7 +33,6 @@
 // layer (DES kernel, fabric, RPC/RDMA, ONC RPC, NFS) and writes them as a
 // Chrome trace-event JSON file for chrome://tracing or ui.perfetto.dev,
 // plus a per-layer span summary and transport latency histograms on stdout.
-// -tracelog streams the older free-form protocol log lines to stderr.
 //
 // With -chaos the command runs one seeded chaos schedule (see
 // internal/chaos) instead of IOzone: a fault schedule of QP errors, link
@@ -50,9 +49,10 @@
 // client credentials against the DRC, and stale-rkey probes, reporting
 // time-to-compromise, the server's defensive counters, and the integrity
 // oracle's blast radius over the victim clients. -adversary-seed picks the
-// run, -adversary-hardened flips the cluster to the hardened posture
-// (randomized rkeys, FMR key rotation, stream-claim validation, peer-keyed
-// DRC, misbehavior quarantine), and -adversary-faults composes a chaos
+// run, -adversary-hardened keeps the cluster in its default hardened
+// posture (randomized rkeys, FMR key rotation, stream-claim validation,
+// peer-keyed DRC, misbehavior quarantine) instead of the vulnerable one the
+// attacks are measured against, and -adversary-faults composes a chaos
 // fault schedule with the attack; -design, -reg, -shards and -mux select
 // the surface under attack.
 //
@@ -147,7 +147,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print a full cluster metrics snapshot")
 	latency := flag.Bool("latency", false, "print per-procedure latency histograms")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run")
-	traceLog := flag.Bool("tracelog", false, "stream protocol trace lines to stderr (very verbose)")
 	sweep := flag.Int("sweep", 0, "sweep thread counts 1..N in parallel instead of one run")
 	workers := flag.Int("workers", 0, "concurrent simulations for -sweep (0 = one per core)")
 	openLoop := flag.Bool("openloop", false, "run the open-loop load generator instead of IOzone")
@@ -279,9 +278,6 @@ func main() {
 	}
 
 	cluster := core.NewCluster(cfg)
-	if *traceLog {
-		cluster.EnableTrace(os.Stderr)
-	}
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = cluster.EnableTracing(1 << 20)

@@ -89,7 +89,8 @@ type Config struct {
 	// FMR key rotation, fabric-authenticated stream claims, transport-
 	// authenticated DRC keying, and misbehavior quarantine. False re-opens
 	// every pre-hardening hole (sequential rkeys, trusted stream claims,
-	// credential-keyed DRC, no quarantine) so the attacks can land.
+	// credential-keyed DRC, no quarantine) so the attacks can land. Every
+	// node, mallory's included, runs with Vulnerable = !Hardened.
 	Hardened bool
 
 	// Attacks is the class selection; zero means AttackAll.
@@ -209,11 +210,6 @@ func recoveryPolicy() core.RetryPolicy {
 	}
 }
 
-// quarantineThreshold is the hardened posture's misbehavior budget: low
-// enough that a spoof burst dies quickly, high enough that a stray decode
-// glitch never kills an honest client.
-const quarantineThreshold = 8
-
 // Run executes one seeded adversary run and returns its result. Identical
 // configs produce identical results (see Result.Fingerprint).
 func Run(cfg Config) *Result {
@@ -230,17 +226,7 @@ func Run(cfg Config) *Result {
 		Multiplex:    cfg.Multiplex,
 		Affinity:     cfg.Multiplex,
 		Seed:         cfg.Seed,
-
-		SequentialRkeys:   !cfg.Hardened,
-		FMRKeyRotate:      cfg.Hardened,
-		TrustStreamClaims: !cfg.Hardened,
-		TrustCredDRC:      !cfg.Hardened,
-		QuarantineThreshold: func() int {
-			if cfg.Hardened {
-				return quarantineThreshold
-			}
-			return 0
-		}(),
+		Vulnerable:   !cfg.Hardened,
 	})
 
 	// The attacker host joins the same fabric as one more client-class
@@ -250,8 +236,7 @@ func Run(cfg Config) *Result {
 	malloryCfg := adversaryProfile().Client
 	malloryCfg.Name = "mallory"
 	malloryCfg.Seed = cfg.Seed*7919 + 13
-	malloryCfg.SequentialRkeys = !cfg.Hardened
-	malloryCfg.FMRKeyRotate = cfg.Hardened
+	malloryCfg.Vulnerable = !cfg.Hardened
 	mallory := cluster.Fabric.AddNode(malloryCfg)
 
 	oracle := chaos.NewOracle()

@@ -100,6 +100,11 @@ type Result struct {
 	OracleRenameENOENTs int64
 	FinalTime           des.Time
 
+	// SpoofDrops and Quarantines sum the server's misbehavior counters
+	// over every transport the run booted. Chaos clients are honest, so
+	// under the default hardened posture both must stay zero.
+	SpoofDrops, Quarantines int64
+
 	// Fingerprint condenses every counter and the final virtual time into
 	// one string; equal fingerprints mean byte-identical runs.
 	Fingerprint string
@@ -203,6 +208,10 @@ func Run(cfg Config) *Result {
 		res.Retransmits += rt
 	}
 	res.DRCHits, res.DRCMisses = cluster.Server.Dispatcher.DRCStats()
+	for _, st := range cluster.ServerTransports() {
+		res.SpoofDrops += st.SpoofDrops
+		res.Quarantines += st.Quarantines
+	}
 	res.WritesIssued = oracle.WritesIssued
 	res.OracleReads = oracle.ReadsChecked
 	res.OracleRenameENOENTs = oracle.RenameChecks

@@ -132,7 +132,9 @@ func TestChaosSoak(t *testing.T) {
 // runs soak the endpoint-scoped error paths — a killed client's siblings
 // must keep running, redials must reuse freed slots, and crash/restart must
 // tear down and re-arm the shared QPs. Alternate seeds pin reply processing
-// to the completion CPU so both affinity paths soak too.
+// to the completion CPU so both affinity paths soak too. Every client is
+// honest, so the server's default hardened posture must never drop a
+// message as spoofed or quarantine an endpoint.
 func TestChaosSoakMux(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak; skipped in -short")
@@ -162,6 +164,11 @@ func TestChaosSoakMux(t *testing.T) {
 			failed++
 			t.Errorf("seed=%d design=%v: %v %v\n  schedule: %v",
 				grid[i].seed, grid[i].design, res.Violations, res.InvariantViolations, res.Schedule)
+		}
+		if res.SpoofDrops != 0 || res.Quarantines != 0 {
+			failed++
+			t.Errorf("seed=%d design=%v: honest run hit misbehavior scoring: spoofDrops=%d quarantines=%d",
+				grid[i].seed, grid[i].design, res.SpoofDrops, res.Quarantines)
 		}
 	}
 	if failed == 0 {

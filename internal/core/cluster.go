@@ -125,18 +125,13 @@ type Config struct {
 	// penalty (zero keeps the profile's value; see cpu.Model.Migrate).
 	MigrationCost des.Duration
 
-	// Security posture knobs, exercised by the adversary engine. The
-	// defaults are the hardened configuration; the three Trust*/Sequential
-	// switches re-open the pre-hardening holes so attacks can be measured.
-	// SequentialRkeys makes every node allocate steering tags sequentially
-	// (trivially guessable); FMRKeyRotate rotates FMR tags per remap;
-	// TrustStreamClaims/TrustCredDRC/QuarantineThreshold map onto
-	// rpcrdma.Config (see there).
-	SequentialRkeys     bool
-	FMRKeyRotate        bool
-	TrustStreamClaims   bool
-	TrustCredDRC        bool
-	QuarantineThreshold int
+	// Vulnerable selects the pre-hardening security posture on every node
+	// and on the server transport (see ibsim.NodeConfig.Vulnerable and
+	// rpcrdma.Config.Vulnerable): sequential steering tags, FMR tags reused
+	// across remaps, trusted stream claims, a credential-keyed DRC and no
+	// quarantine. The zero value is the hardened posture; only the
+	// adversary experiments open the holes, to measure the attacks.
+	Vulnerable bool
 
 	Seed uint64
 }
@@ -190,6 +185,8 @@ type Cluster struct {
 	// RestartServer can rebuild an identical transport after a crash.
 	serverRDMACfg rpcrdma.Config
 	serverDown    bool
+	// serverRDMAs is every server transport booted, in boot order.
+	serverRDMAs []*rpcrdma.ServerTransport
 
 	// tel is the telemetry engine attached by EnableTelemetry (nil — the
 	// disabled engine — otherwise; see telemetry.go).
@@ -216,10 +213,8 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	serverNodeCfg.Name = "server"
 	serverNodeCfg.Seed = cfg.Seed * 31
-	serverNodeCfg.SequentialRkeys = cfg.SequentialRkeys
-	serverNodeCfg.FMRKeyRotate = cfg.FMRKeyRotate
-	clientNodeCfg.SequentialRkeys = cfg.SequentialRkeys
-	clientNodeCfg.FMRKeyRotate = cfg.FMRKeyRotate
+	serverNodeCfg.Vulnerable = cfg.Vulnerable
+	clientNodeCfg.Vulnerable = cfg.Vulnerable
 	if cfg.MigrationCost > 0 {
 		serverNodeCfg.MigrationCost = cfg.MigrationCost
 	}
@@ -278,14 +273,13 @@ func NewCluster(cfg Config) *Cluster {
 			sCfg.MaxConns = cfg.MaxConns
 			sCfg.Multiplex = cfg.Multiplex
 			sCfg.Affinity = cfg.Affinity
-			sCfg.TrustStreamClaims = cfg.TrustStreamClaims
-			sCfg.TrustCredDRC = cfg.TrustCredDRC
-			sCfg.QuarantineThreshold = cfg.QuarantineThreshold
+			sCfg.Vulnerable = cfg.Vulnerable
 			if cfg.SRQDepth > 0 {
 				sCfg.SRQDepth = cfg.SRQDepth
 			}
 			c.serverRDMACfg = sCfg
 			srv.RDMA = rpcrdma.NewServerTransport(p, srvNode, srv.Mgr, dispatcher, sCfg)
+			c.serverRDMAs = append(c.serverRDMAs, srv.RDMA)
 			for _, cl := range c.Clients {
 				cl.Mgr = memreg.NewManager(p, cl.Node, memreg.Config{Mode: cfg.RegMode, CacheMaxBytes: cfg.CacheMaxBytes})
 				t, err := connectRDMA(p, cl)

@@ -62,9 +62,16 @@ func (c *Cluster) RestartServer(p *des.Proc) {
 	srv := c.Server
 	srv.Mgr = memreg.NewManager(p, srv.Node, memreg.Config{Mode: c.Cfg.RegMode, CacheMaxBytes: c.Cfg.CacheMaxBytes})
 	srv.RDMA = rpcrdma.NewServerTransport(p, srv.Node, srv.Mgr, srv.Dispatcher, c.serverRDMACfg)
+	c.serverRDMAs = append(c.serverRDMAs, srv.RDMA)
 	srv.NFS.Restart(uint64(c.Crashes))
 	c.serverDown = false
 }
+
+// ServerTransports returns every RDMA server transport the cluster has
+// booted, in boot order: the initial one plus one per restart. A crashed
+// transport's counters stop at its crash, so summing over the slice counts
+// a whole run.
+func (c *Cluster) ServerTransports() []*rpcrdma.ServerTransport { return c.serverRDMAs }
 
 // ScheduleServerCrash arms a crash at virtual time at, followed by a
 // restart after downtime. Crashes are serialized through the serverDown

@@ -58,6 +58,9 @@ func TestCrashRestartRecovery(t *testing.T) {
 		if cluster.ServerDown() {
 			t.Error("server still down after scheduled restart")
 		}
+		if sts := cluster.ServerTransports(); len(sts) != 2 || sts[1] != cluster.Server.RDMA {
+			t.Errorf("ServerTransports = %d transports, want the initial one and the restarted current one", len(sts))
+		}
 		rc, _ := cl.RecoveryStats()
 		if rc < 1 {
 			t.Errorf("reconnects = %d, want >= 1 (crash did not land on the burst?)", rc)

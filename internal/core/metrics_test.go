@@ -8,6 +8,7 @@ import (
 	"repro/internal/memreg"
 	"repro/internal/profiles"
 	"repro/internal/rpcrdma"
+	"repro/internal/trace"
 )
 
 func TestMetricsSnapshot(t *testing.T) {
@@ -103,13 +104,17 @@ func TestMetricsWindowing(t *testing.T) {
 	cluster.Run()
 }
 
-func TestTraceStreamsEvents(t *testing.T) {
+// TestTraceRecordsCallAndServe: on a traced cluster run the structured
+// tracer records both ends of an RPC — the client's KindRPC span and the
+// server's KindServe span for the same XID, the serve starting while the
+// call is outstanding (it may end after the reply lands: the server still
+// reaps its send completion).
+func TestTraceRecordsCallAndServe(t *testing.T) {
 	cluster := NewCluster(Config{
 		Profile: profiles.LinuxSDR(), Transport: TransportRDMA,
 		Design: rpcrdma.ReadWrite, RegMode: memreg.Regular,
 	})
-	var sb strings.Builder
-	cluster.EnableTrace(&sb)
+	tr := cluster.EnableTracing(1 << 16)
 	cluster.Start("io", func(p *des.Proc) {
 		cl := cluster.Clients[0]
 		f, _ := cl.Create(p, "t")
@@ -117,8 +122,27 @@ func TestTraceStreamsEvents(t *testing.T) {
 		f.WriteAt(p, buf, 0, 0, 4096, false)
 	})
 	cluster.Run()
-	out := sb.String()
-	if !strings.Contains(out, "rpcrdma call") || !strings.Contains(out, "rpcrdma serve") {
-		t.Fatalf("trace missing protocol events:\n%.500s", out)
+	events := tr.Events()
+	var call *trace.Event
+	for i := range events {
+		if e := &events[i]; e.Kind == trace.KindRPC && e.Phase == trace.PhaseSpan && e.Track == "client0" {
+			call = e
+			break
+		}
 	}
+	if call == nil {
+		t.Fatal("no client RPC span recorded")
+	}
+	xid := uint32(call.ID)
+	for _, e := range events {
+		// Server spans key by connection<<32|xid: XIDs repeat across clients.
+		if e.Kind != trace.KindServe || uint32(e.ID) != xid {
+			continue
+		}
+		if e.T < call.T || e.T > call.End() {
+			t.Fatalf("serve span starts at %d, outside its call [%d,%d]", e.T, call.T, call.End())
+		}
+		return
+	}
+	t.Fatalf("no server serve span for xid %#x", xid)
 }

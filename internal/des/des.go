@@ -71,9 +71,8 @@ type Sim struct {
 	seq      int64
 	coros    []*coro // finished coroutines ready for the next spawn
 	stopped  bool
-	parked   []*Proc // processes currently blocked inside the kernel
-	starting []*Proc // spawned but not yet started processes
-	trace    func(t Time, format string, args ...any)
+	parked   []*Proc       // processes currently blocked inside the kernel
+	starting []*Proc       // spawned but not yet started processes
 	tracer   *trace.Tracer // structured event sink, nil when disabled
 	procSeq  uint64
 }
@@ -85,10 +84,6 @@ func New() *Sim {
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
-
-// SetTrace installs a trace sink invoked by Proc.Logf. A nil sink disables
-// tracing (the default).
-func (s *Sim) SetTrace(fn func(t Time, format string, args ...any)) { s.trace = fn }
 
 // SetTracer installs a structured event tracer. Every layer built on the
 // kernel reaches it through Sim; a nil tracer (the default) disables
@@ -276,13 +271,6 @@ func (p *Proc) Now() Time { return p.sim.now }
 // the kernel unwinds abandoned processes with a panic that is recovered by
 // the coroutine wrapper, so ordinary code never observes it mid-function.
 func (p *Proc) Abandoned() bool { return p.abandoned }
-
-// Logf emits a trace line through the simulation's trace sink, if installed.
-func (p *Proc) Logf(format string, args ...any) {
-	if p.sim.trace != nil {
-		p.sim.trace(p.sim.now, "["+p.name+"] "+format, args...)
-	}
-}
 
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. fn runs on its own coroutine but under the kernel's

@@ -126,19 +126,15 @@ type NodeConfig struct {
 	// MeanPhysRun overrides the memory physical-contiguity model when > 0.
 	MeanPhysRun int
 
-	// SequentialRkeys switches steering-tag allocation from the default
-	// randomized draw to a sequential counter, modelling mlx4-era drivers
-	// that handed out monotonically increasing keys. Sequential tags make
-	// rkey guessing trivial — an attacker scans upward from 1 — which is
-	// exactly what the adversary experiments measure against the default.
-	SequentialRkeys bool
-
-	// FMRKeyRotate allocates a fresh steering tag on every FMR re-map
-	// instead of reusing the handle's pool-time tag. Reuse is what opens
-	// the FMR remap window: a peer holding a pre-remap rkey silently
-	// addresses whatever the handle maps next. Rotation closes the window
-	// at the cost of one tag allocation per remap.
-	FMRKeyRotate bool
+	// Vulnerable selects the pre-hardening HCA posture the adversary
+	// experiments measure against. The zero value is hardened: steering
+	// tags are drawn at random, and every FMR re-map rotates the handle's
+	// tag, so a peer holding the previous cycle's rkey faults instead of
+	// silently addressing the new mapping. Vulnerable allocates tags from a
+	// sequential counter, as mlx4-era drivers did (an attacker scanning
+	// upward from 1 hits every live registration), and reuses an FMR
+	// handle's pool-time tag across mappings — the remap window.
+	Vulnerable bool
 
 	Seed uint64
 }

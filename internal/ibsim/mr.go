@@ -87,7 +87,7 @@ type HCA struct {
 	globalMR *MR
 
 	// tagSeq is the last steering tag handed out in sequential-allocation
-	// mode (NodeConfig.SequentialRkeys); unused under randomized draws.
+	// mode (NodeConfig.Vulnerable); unused under randomized draws.
 	tagSeq uint32
 
 	// watches are write-watch doorbells (see watch.go), keyed by rkey.
@@ -131,11 +131,11 @@ func (h *HCA) pages(length int) int {
 }
 
 func (h *HCA) allocTag() uint32 {
-	if h.cfg.SequentialRkeys {
+	if h.cfg.Vulnerable {
 		// Sequential tags, as mlx4-era drivers allocated them: the next
 		// key is always last+1, so a malicious peer scanning upward from 1
-		// hits every live registration. Kept as an opt-in policy precisely
-		// so the adversary experiments can measure how bad it is.
+		// hits every live registration. Kept as the vulnerable posture
+		// precisely so the adversary experiments can measure how bad it is.
 		for {
 			h.tagSeq++
 			if h.tagSeq == 0 {
@@ -268,8 +268,9 @@ func (h *HCA) NewFMRHandle(p *des.Proc, maxLen int) *FMRHandle {
 // MaxLen returns the largest mappable region.
 func (f *FMRHandle) MaxLen() int { return f.maxLen }
 
-// Rkey returns the handle's current steering tag. Without FMRKeyRotate it is
-// fixed for the handle's lifetime — the property the remap-window tests pin.
+// Rkey returns the handle's current steering tag. Under the vulnerable
+// posture it is fixed for the handle's lifetime — the property the
+// remap-window tests pin.
 func (f *FMRHandle) Rkey() uint32 { return f.rkey }
 
 // Remaps returns how many times the handle has been mapped.
@@ -287,7 +288,7 @@ func (f *FMRHandle) Map(p *des.Proc, buf *Buffer, off, length int, access Access
 	}
 	h := f.hca
 	if f.remaps > 0 {
-		if h.cfg.FMRKeyRotate {
+		if !h.cfg.Vulnerable {
 			// Fresh tag per remap: a peer holding the previous cycle's rkey
 			// faults instead of silently addressing the new mapping.
 			f.rkey = h.allocTag()

@@ -8,14 +8,14 @@ import (
 	"repro/internal/des"
 )
 
-// securityPair builds an attacker/server node pair; rotate selects the
-// server's FMR key-rotation posture.
-func securityPair(rotate bool) (*des.Sim, *Fabric, *Node, *Node) {
+// securityPair builds an attacker/server node pair; vulnerable selects the
+// server's security posture (sequential tags, FMR tags reused across remaps).
+func securityPair(vulnerable bool) (*des.Sim, *Fabric, *Node, *Node) {
 	sim := des.New()
 	fab := NewFabric(sim, true)
 	atk := fab.AddNode(NodeConfig{Name: "attacker", Cores: 2, PortBandwidth: 900e6, PortLatency: 3 * time.Microsecond})
 	srv := fab.AddNode(NodeConfig{Name: "server", Cores: 4, PortBandwidth: 900e6, PortLatency: 3 * time.Microsecond,
-		FMRKeyRotate: rotate})
+		Vulnerable: vulnerable})
 	return sim, fab, atk, srv
 }
 
@@ -125,11 +125,12 @@ func TestMRAccessEnforcementMatrix(t *testing.T) {
 	sim.Run()
 }
 
-// TestFMRRemapWindow pins the FMR pool's stale-rkey semantics. Without key
-// rotation the pool-time steering tag survives remapping, so a peer holding
-// the previous cycle's rkey silently reads the *new* mapping — the exposure
-// window the simulator counts as fmr.remap_reuse. With FMRKeyRotate the old
-// tag faults after remap and the rotation is counted.
+// TestFMRRemapWindow pins the FMR pool's stale-rkey semantics. Under the
+// vulnerable posture the pool-time steering tag survives remapping, so a
+// peer holding the previous cycle's rkey silently reads the *new* mapping —
+// the exposure window the simulator counts as fmr.remap_reuse. Under the
+// hardened posture (the default) the old tag faults after remap and the
+// rotation is counted.
 func TestFMRRemapWindow(t *testing.T) {
 	for _, rotate := range []bool{false, true} {
 		rotate := rotate
@@ -138,7 +139,7 @@ func TestFMRRemapWindow(t *testing.T) {
 			name = "rotate"
 		}
 		t.Run(name, func(t *testing.T) {
-			sim, fab, atk, srv := securityPair(rotate)
+			sim, fab, atk, srv := securityPair(!rotate)
 			sim.Spawn("remap", func(p *des.Proc) {
 				local := atk.Mem.AllocMaterialized(4096)
 				bufA := srv.Mem.AllocMaterialized(4096)

@@ -115,26 +115,18 @@ type Config struct {
 	// Server side, sharded dispatch only.
 	Affinity bool
 
-	// TrustStreamClaims disables the server's authenticated-source check on
-	// multiplexed receives. By default a message whose claimed stream
-	// (SendWQE.Stream, attacker-controlled) differs from the fabric-stamped
-	// source endpoint (CQE.SrcStream) is dropped and the real sender
-	// penalized; with this set the server believes the claim — the
-	// pre-hardening behaviour the adversary experiments measure. Server
-	// side, multiplexed mode only.
-	TrustStreamClaims bool
-
-	// TrustCredDRC keys the duplicate request cache by the call's AUTH_SYS
-	// machine-name credential (forgeable by any client) instead of the
-	// transport-authenticated peer node name. Pre-hardening behaviour, kept
-	// for the adversary's DRC-forgery measurements. Server side only.
-	TrustCredDRC bool
-
-	// QuarantineThreshold terminates a connection once its misbehavior
-	// score (rejected DONEs, spoofed stream claims) reaches this value. On
-	// a shared mux QP the termination is endpoint-scoped — only the
-	// offender dies. Zero disables quarantine. Server side only.
-	QuarantineThreshold int
+	// Vulnerable selects the pre-hardening server posture the adversary
+	// experiments measure against. The zero value is hardened: a
+	// multiplexed receive whose claimed stream (SendWQE.Stream,
+	// attacker-controlled) differs from the fabric-stamped source endpoint
+	// (CQE.SrcStream) is dropped and its real sender penalized; the
+	// duplicate request cache keys replay state by the transport-
+	// authenticated peer node name; and a connection whose misbehavior
+	// score (provably forged messages) reaches quarantineThreshold is
+	// terminated — endpoint-scoped on a shared mux QP. Vulnerable believes
+	// stream claims, keys the DRC by the forgeable AUTH_SYS machine name,
+	// and never quarantines. Server side only.
+	Vulnerable bool
 }
 
 // hasSerial reports whether the serialized-path model is enabled.
@@ -430,8 +422,6 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 
 	t.pending[req.XID] = pend
 	wire := append(hdr.Encode(), inline...)
-	p.Logf("rpcrdma call xid=%#x type=%v inline=%dB readsegs=%d writesegs=%d",
-		req.XID, hdr.Type, len(inline), len(hdr.ReadList), len(hdr.WriteList))
 	attempt := 0
 	t.armTimer(pend.done, t.attemptTimeout(attempt))
 	t.qp.PostSend(&ibsim.SendWQE{WRID: uint64(req.XID), Op: ibsim.OpSend, Payload: wire})
@@ -486,7 +476,6 @@ func (t *ClientTransport) Roundtrip(p *des.Proc, req *oncrpc.Request) (*oncrpc.R
 	}
 	delete(t.pending, req.XID)
 	pend.aborted = true
-	p.Logf("rpcrdma done xid=%#x bulk=%dB err=%v", req.XID, res.bulkLen, res.err)
 	endRPC := func() {
 		if tr == nil {
 			return

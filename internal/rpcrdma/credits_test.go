@@ -132,7 +132,10 @@ func TestDynamicCreditsThrottleUnderPinnedReplies(t *testing.T) {
 		disp.Register(svc)
 		cfg := Config{Design: ReadRead, Credits: 16, DynamicCredits: true}
 		st := NewServerTransport(p, server, smgr, disp, cfg)
-		st.Serve(sq)
+		if !st.TryServe(sq) {
+			t.Error("server rejected the connection")
+			return
+		}
 		ct := NewClientTransport(p, cq, cmgr, cfg)
 		ct.DropDone = true // withhold DONEs: server buffers pin
 		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
@@ -173,7 +176,10 @@ func TestDynamicCreditsStabilize(t *testing.T) {
 		disp.Register(svc)
 		cfg := Config{Design: ReadRead, Credits: 16, DynamicCredits: true}
 		st := NewServerTransport(p, server, smgr, disp, cfg)
-		st.Serve(sq)
+		if !st.TryServe(sq) {
+			t.Error("server rejected the connection")
+			return
+		}
 		ct := NewClientTransport(p, cq, cmgr, cfg)
 		rpc := oncrpc.NewClient(ct, 4242, 1, oncrpc.Auth{})
 		ct.DropDone = true

@@ -45,13 +45,13 @@ type serverConn struct {
 
 	// peerName is the transport-authenticated node name behind this
 	// connection, recorded at accept time. The DRC keys replay state by it
-	// (unless Config.TrustCredDRC), so a forged AUTH_SYS machine credential
+	// (unless Config.Vulnerable), so a forged AUTH_SYS machine credential
 	// cannot collide with another client's replay keys.
 	peerName string
 
 	// misbehavior scores protocol violations attributed to this connection
-	// (rejected DONEs, spoofed stream claims); quarantined latches once the
-	// score crosses Config.QuarantineThreshold and the connection is
+	// (provably forged DONEs and stream claims); quarantined latches once the
+	// score crosses quarantineThreshold and the connection is
 	// terminated, so the Quarantines stat counts each offender once.
 	misbehavior int
 	quarantined bool
@@ -286,11 +286,6 @@ func (s *ServerTransport) Shutdown(p *des.Proc) {
 	}
 }
 
-// Serve attaches an accepted connection, ignoring admission: callers that
-// predate admission control (and tests that must not race it) keep the old
-// contract. With MaxConns unset the two entry points are identical.
-func (s *ServerTransport) Serve(qp *ibsim.QP) { s.TryServe(qp) }
-
 // TryServe attaches an accepted connection and reports whether admission
 // control let it in. A rejected QP is terminated with ErrAdmission — the
 // peer observes the error on its own queue pair and is expected to back
@@ -464,7 +459,7 @@ func (c *serverConn) traceKey(xid uint32) uint64 { return c.id<<32 | uint64(xid)
 // SrcStream): zero on dedicated connections, the sender's own slot id on a
 // shared QP. conn is the connection the DONE *claims* to speak for; with
 // stream-claim validation on, the two always agree by the time the message
-// gets here, but in trust mode (Config.TrustStreamClaims) a forged claim
+// gets here, but in trust mode (Config.Vulnerable) a forged claim
 // reaches this point and a mismatched release is a cross-client free — the
 // spoofed-DONE attack landing.
 func (s *ServerTransport) handleDone(p *des.Proc, conn *serverConn, xid uint32, src uint32) {
@@ -516,17 +511,22 @@ func (s *ServerTransport) offender(conn *serverConn, src uint32) *serverConn {
 	return conn
 }
 
-// penalize bumps a connection's misbehavior score and, once it crosses the
-// configured threshold, terminates the offender — endpoint-scoped on a
+// quarantineThreshold is the hardened posture's misbehavior budget, low
+// enough that a spoof burst dies quickly. Only provably forged messages
+// score, so honest traffic never reaches it.
+const quarantineThreshold = 8
+
+// penalize bumps a connection's misbehavior score and, once it crosses
+// quarantineThreshold, terminates the offender — endpoint-scoped on a
 // shared QP, so quarantining an attacker never takes innocent endpoints
-// down with it.
+// down with it. The vulnerable posture never quarantines.
 func (s *ServerTransport) penalize(p *des.Proc, conn *serverConn) {
 	if conn == nil {
 		return
 	}
 	conn.misbehavior++
-	if s.cfg.QuarantineThreshold <= 0 || conn.quarantined || conn.dead ||
-		conn.misbehavior < s.cfg.QuarantineThreshold {
+	if s.cfg.Vulnerable || conn.quarantined || conn.dead ||
+		conn.misbehavior < quarantineThreshold {
 		return
 	}
 	conn.quarantined = true
@@ -574,8 +574,6 @@ func (s *ServerTransport) handle1(p *des.Proc, task *serverTask, wcpu int) {
 		return
 	}
 	s.Requests++
-	p.Logf("rpcrdma serve xid=%#x type=%v readsegs=%d writesegs=%d",
-		hdr.XID, hdr.Type, len(hdr.ReadList), len(hdr.WriteList))
 	s.node.CPU.Work(p, s.cfg.PerOpCPU)
 
 	// --- Receive path ---
@@ -682,7 +680,7 @@ func (s *ServerTransport) handle1(p *des.Proc, task *serverTask, wcpu int) {
 
 	// --- File system ---
 	peer := task.conn.peerName
-	if s.cfg.TrustCredDRC {
+	if s.cfg.Vulnerable {
 		peer = "" // fall back to the forgeable credential machine name
 	}
 	reply, bulkOut, err := s.dispatcher.Dispatch(p, callBytes, oncrpc.DispatchOpts{

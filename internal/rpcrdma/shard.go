@@ -151,7 +151,7 @@ func (sh *serverShard) recvLoop(p *des.Proc) {
 		// Return the consumed WQE to the shared pool straight away; the
 		// refill loop is only a safety net for bursts that outrun this.
 		sh.srq.PostRecv(cqe.WRID, s.cfg.recvBufSize())
-		if cqe.SrcStream != 0 && cqe.Stream != cqe.SrcStream && !s.cfg.TrustStreamClaims {
+		if cqe.SrcStream != 0 && cqe.Stream != cqe.SrcStream && !s.cfg.Vulnerable {
 			// The sender's claimed stream differs from the slot the fabric
 			// says it actually posted from: a spoofed message trying to
 			// speak as another endpoint (forged DONEs, forged calls against

@@ -84,10 +84,11 @@ func TestForgedDoneCannotFreeOtherConn(t *testing.T) {
 // TestForgedStreamDoneMux: on a shared multiplexed QP the DONE forger can
 // also forge the *stream claim* and speak as the victim endpoint. With
 // stream-claim validation (the default) the fabric-stamped source exposes
-// the forgery: the message is dropped, the park survives, and repeated
-// spoofs quarantine only the attacker's endpoint. In trust mode
-// (TrustStreamClaims) the same message lands and frees the victim's park —
-// the cross-client free the hardening exists to stop.
+// the forgery: the message is dropped, the park survives, and the spoof
+// that reaches quarantineThreshold quarantines only the attacker's
+// endpoint. In trust mode (the vulnerable posture) the same message lands
+// and frees the victim's park — the cross-client free the hardening exists
+// to stop.
 func TestForgedStreamDoneMux(t *testing.T) {
 	for _, trust := range []bool{false, true} {
 		trust := trust
@@ -99,10 +100,7 @@ func TestForgedStreamDoneMux(t *testing.T) {
 			sim := des.New()
 			e := newScaleEnv(sim, 2)
 			cfg := Config{Design: ReadRead, Multiplex: true, Shards: 1, Workers: 2,
-				SRQDepth: 64, TrustStreamClaims: trust}
-			if !trust {
-				cfg.QuarantineThreshold = 2
-			}
+				SRQDepth: 64, Vulnerable: trust}
 			sim.Spawn("setup", func(p *des.Proc) {
 				e.startServer(p, cfg)
 				e.svc.stored = pattern(32<<10, 3)
@@ -149,17 +147,33 @@ func TestForgedStreamDoneMux(t *testing.T) {
 					}
 					return
 				}
-				if got := e.st.ParkedReplies(); got != 1 {
-					t.Errorf("spoofed DONE freed the victim's park: parked = %d, want 1", got)
-				}
-				if e.st.SpoofDrops != 1 {
-					t.Errorf("SpoofDrops = %d, want 1", e.st.SpoofDrops)
+				// Every spoof below the threshold is dropped and scored, but the
+				// attacker's endpoint stays up.
+				for n := 1; n < quarantineThreshold; n++ {
+					if n > 1 {
+						if err := spoof(); err != nil {
+							t.Errorf("spoof %d send: %v", n, err)
+							return
+						}
+						p.Sleep(time.Millisecond)
+					}
+					if got := e.st.ParkedReplies(); got != 1 {
+						t.Errorf("spoof %d freed the victim's park: parked = %d, want 1", n, got)
+					}
+					if e.st.SpoofDrops != int64(n) {
+						t.Errorf("SpoofDrops = %d after spoof %d", e.st.SpoofDrops, n)
+					}
+					if e.st.Quarantines != 0 || aq.Err() != nil {
+						t.Errorf("spoof %d of %d quarantined early: Quarantines = %d, attacker err = %v",
+							n, quarantineThreshold, e.st.Quarantines, aq.Err())
+						return
+					}
 				}
 				if e.st.CrossClientFrees != 0 {
 					t.Errorf("CrossClientFrees = %d, want 0", e.st.CrossClientFrees)
 				}
-				// Second spoof crosses the quarantine threshold: the attacker's
-				// endpoint dies, the victim's keeps working.
+				// The spoof that reaches the threshold quarantines the
+				// attacker's endpoint; the victim's keeps working.
 				spoof()
 				p.Sleep(time.Millisecond)
 				if e.st.Quarantines != 1 {
